@@ -118,7 +118,7 @@ func reconstruct(pre []float64, n, p, min int, c float64) []int {
 	j := n
 	for r := p; r >= 1; r-- {
 		for i := 0; i <= j-min; i++ {
-			if reach[r-1][i] && pre[j]-pre[i] <= c {
+			if reach[r-1][i] && pre[i] >= pre[j]-c { // feasible's comparison
 				j = i
 				break
 			}
@@ -176,6 +176,11 @@ func weightedSplit(n, p, min int, weights []float64, what string) (*Decompositio
 		} else {
 			lo = mid
 		}
+	}
+	if !feasible(pre, n, p, min, hi) {
+		// Rounding in the prefix sums can make even the uniform split's
+		// own cost infeasible by the search's comparison.
+		return uni, nil
 	}
 	return &Decomposition{Nx: n, P: p, starts: reconstruct(pre, n, p, min, hi)}, nil
 }

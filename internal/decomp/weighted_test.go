@@ -104,6 +104,26 @@ func TestWeightedAxialBeatsGreedy(t *testing.T) {
 	}
 }
 
+// TestWeightedAxialProbeRounding splits a two-rank probe profile (the
+// shape par.MeasuredColWeights builds: each probe rank's busy time
+// spread over its 16 columns) on which prefix-sum rounding once left
+// every block empty.
+func TestWeightedAxialProbeRounding(t *testing.T) {
+	w := make([]float64, 32)
+	for i := range w {
+		busy := 0.001374
+		if i >= 16 {
+			busy = 0.001547
+		}
+		w[i] = busy / 16
+	}
+	d, err := WeightedAxial(len(w), 3, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWeighted(t, d, len(w), 3, MinWidth)
+}
+
 func TestWeightedUniformReproducesSplit(t *testing.T) {
 	for _, c := range []struct{ n, p int }{{250, 16}, {17, 4}, {64, 15}, {16, 4}} {
 		u, err := Axial(c.n, c.p)

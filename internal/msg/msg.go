@@ -156,9 +156,3 @@ func (c *Comm) Recv(from int, tag Tag, buf []float64) {
 	copy(buf, m.data)
 	c.world.putBuf(m.data)
 }
-
-// TryRecvReady reports whether a message from `from` is already waiting
-// (used by tests; the solver protocol is deterministic).
-func (c *Comm) TryRecvReady(from int) bool {
-	return len(c.world.pipes[from][c.rank]) > 0
-}

@@ -154,18 +154,6 @@ func (r *Result) TotalFlops() float64 {
 	return f
 }
 
-// MaxBusy returns the longest per-rank busy time (the load-balance
-// metric of the paper's Figure 13).
-func (r *Result) MaxBusy() time.Duration {
-	m := time.Duration(0)
-	for _, rs := range r.Ranks {
-		if rs.Busy > m {
-			m = rs.Busy
-		}
-	}
-	return m
-}
-
 // Runner owns the slabs and the message world of one parallel solver.
 type Runner struct {
 	Cfg   jet.Config

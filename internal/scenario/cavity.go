@@ -71,7 +71,7 @@ func (cavityScenario) Problem(cfg jet.Config, g *grid.Grid) (*solver.Problem, er
 		Name: "cavity",
 		Wall: solver.WallSpec{Left: true, Right: true, Bottom: true, Top: true, ULid: ulid},
 		// Impulsive start: quiescent ambient fluid, lid already moving.
-		Init: func(cfg jet.Config, gm gas.Model, x, r float64) gas.Primitive {
+		Init: func(cfg jet.Config, gm gas.Model, r float64) gas.Primitive {
 			return gas.Primitive{Rho: 1, U: 0, V: 0, P: gm.AmbientPressure()}
 		},
 	}, nil

@@ -79,7 +79,7 @@ func (channelScenario) Problem(cfg jet.Config, g *grid.Grid) (*solver.Problem, e
 		},
 		// The initial state is the inflow profile swept downstream: close
 		// to the viscous steady state, so short runs stay well-behaved.
-		Init: func(cfg jet.Config, gm gas.Model, x, r float64) gas.Primitive {
+		Init: func(cfg jet.Config, gm gas.Model, r float64) gas.Primitive {
 			return poiseuille(cfg, gm, r, lr)
 		},
 	}, nil

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/flux"
+	"repro/internal/gas"
 	"repro/internal/grid"
 	"repro/internal/jet"
+	"repro/internal/par"
 	"repro/internal/solver"
 )
 
@@ -78,6 +80,71 @@ func TestJetScenarioIsTransparent(t *testing.T) {
 	}
 	if prob.Walls().Any() || prob.Inflow != nil || prob.Init != nil {
 		t.Errorf("jet problem is not zero-valued: %+v", prob)
+	}
+}
+
+// TestInitStampsRadialProfile pins the axially uniform initial state of
+// every scenario on a 2x2 Wide(2) rank grid, whose corner block starts
+// at I0 > 0 and J0 > 0 and carries a redundant shell: each owned point
+// holds bitwise the conserved state of a pointwise profile evaluation,
+// and the Init hook runs once per owned row, not once per point.
+func TestInitStampsRadialProfile(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			sc, _ := Get(name)
+			cfg := sc.Config(jet.Paper())
+			g, err := sc.Grid(64, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob, err := sc.Problem(cfg, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gm := cfg.Gas()
+			profile := prob.Init
+			if profile == nil { // the jet's parallel mean flow
+				profile = func(cfg jet.Config, gm gas.Model, r float64) gas.Primitive {
+					T := cfg.MeanT(gm.Gamma, r)
+					return gas.Primitive{Rho: 1 / T, U: cfg.MeanU(r), V: 0, P: gm.AmbientPressure()}
+				}
+			}
+			calls := 0
+			counted := *prob
+			counted.Init = func(cfg jet.Config, gm gas.Model, r float64) gas.Primitive {
+				calls++
+				return profile(cfg, gm, r)
+			}
+			for _, p := range []*solver.Problem{prob, &counted} {
+				calls = 0
+				run, err := par.NewRunner2D(cfg, g, par.Options2D{Px: 2, Pr: 2, Policy: solver.Wide(2), Prob: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, corner := 0, false
+				for _, sl := range run.Slabs {
+					rows += sl.NrLoc
+					corner = corner || sl.I0 > 0 && sl.J0 > 0 && sl.ExtL > 0 && sl.ExtB > 0
+					for j, r := range sl.R {
+						q := gm.ToConserved(profile(cfg, gm, r))
+						want := [flux.NVar]float64{flux.IRho: q.Rho, flux.IMx: q.Mx, flux.IMr: q.Mr, flux.IE: q.E}
+						for c := 0; c < sl.NxLoc; c++ {
+							for k, v := range want {
+								if got := sl.Q[k].At(c, j); math.Float64bits(got) != math.Float64bits(v) {
+									t.Fatalf("block I0=%d J0=%d: Q[%d](%d,%d) = %v, pointwise %v", sl.I0, sl.J0, k, c, j, got, v)
+								}
+							}
+						}
+					}
+				}
+				if !corner {
+					t.Fatal("no block with I0 > 0, J0 > 0 and a Wide(2) shell")
+				}
+				if p == &counted && calls != rows {
+					t.Errorf("Init called %d times, want %d (once per owned row)", calls, rows)
+				}
+			}
+		})
 	}
 }
 

@@ -63,8 +63,17 @@ func (s *Scheduler) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON marshals v before committing the status, so a value JSON
+// cannot encode is answered 500 with a JSON error instead of a 200
+// with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// A map of strings always marshals.
+		body, _ = json.Marshal(map[string]string{"error": "encode reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }

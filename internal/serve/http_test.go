@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,5 +123,93 @@ func TestHTTPShedding(t *testing.T) {
 	}
 	if res.OK || res.Error == "" {
 		t.Fatalf("shed result: %+v", res)
+	}
+}
+
+// TestHTTPNonFiniteDefect serves a parareal job whose coarse propagator
+// diverges (the unexcited Re~500 jet at 128x48 coarsens to 64x24), so
+// its defect is NaN while the fine result is exact at K iterations.
+// Both endpoints must answer a decodable 200 that marks the defect
+// non-finite, with the momentum checksum of a direct Submit.
+func TestHTTPNonFiniteDefect(t *testing.T) {
+	const job = `{"backend":"serial","nx":128,"nr":48,"reynolds":500,"eps":0,"steps":1400,"time_slices":2}`
+	var j Job
+	if err := json.Unmarshal([]byte(job), &j); err != nil {
+		t.Fatal(err)
+	}
+	direct := New(Options{Slots: 2})
+	defer direct.Close()
+	rep, err := direct.Submit(j.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MomentumChecksum(rep.Result.Momentum)
+	if !math.IsNaN(rep.Result.Defect) {
+		t.Fatalf("defect %g: the job no longer exercises a non-finite defect", rep.Result.Defect)
+	}
+
+	s := New(Options{Slots: 2})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	check := func(where string, status int, body []byte, res JobResult) {
+		t.Helper()
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", where, status, body)
+		}
+		if !res.OK || !math.IsNaN(float64(res.Defect)) || !bytes.Contains(body, []byte(`"defect":"NaN"`)) {
+			t.Errorf("%s: defect not marked non-finite: %s", where, body)
+		}
+		if res.MomentumSHA256 != want {
+			t.Errorf("%s: momentum checksum %s, direct Submit %s", where, res.MomentumSHA256, want)
+		}
+	}
+	resp, body := postJSON(t, srv, "/run", job)
+	var one JobResult
+	if err := json.Unmarshal(body, &one); err != nil {
+		t.Fatalf("/run body %q: %v", body, err)
+	}
+	check("/run", resp.StatusCode, body, one)
+	resp, body = postJSON(t, srv, "/batch", "["+job+","+job+"]")
+	var batch []JobResult
+	if err := json.Unmarshal(body, &batch); err != nil || len(batch) != 2 {
+		t.Fatalf("/batch body %q: %v", body, err)
+	}
+	for _, res := range batch {
+		check("/batch", resp.StatusCode, body, res)
+	}
+}
+
+// TestWriteJSONUnencodable pins the fallback for a reply JSON cannot
+// carry: a 500 with a JSON error body, never a 200 with no body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	var e struct{ Error string }
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+		t.Fatalf("status %d, body %q", rec.Code, rec.Body.Bytes())
+	}
+}
+
+func TestFloatJSONRoundTrip(t *testing.T) {
+	for _, v := range []float64{0, 1.5e-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, err := json.Marshal(Float(v))
+		if err != nil {
+			t.Fatalf("%g: %v", v, err)
+		}
+		var got Float
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if math.Float64bits(float64(got)) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(float64(got))) {
+			t.Errorf("%g -> %s -> %g", v, b, got)
+		}
+	}
+	var r JobResult
+	if err := json.Unmarshal([]byte(`{"defect":null}`), &r); err != nil || r.Defect != 0 {
+		t.Errorf("null defect: %v, %g", err, r.Defect)
+	}
+	if err := json.Unmarshal([]byte(`{"defect":"x"}`), &r); err == nil {
+		t.Error("defect \"x\" decoded without an error")
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/jet"
@@ -109,10 +112,12 @@ type JobResult struct {
 	Converged bool    `json:"converged,omitempty"`
 	// TimeSlices/Iterations/Defect report a parareal run (zero for
 	// spatial runs): slice count, correction iterations actually run,
-	// and the final slice-boundary L2 defect.
+	// and the final slice-boundary L2 defect. A diverged coarse
+	// propagator leaves the defect NaN while the fine result stays
+	// exact at K iterations; the wire then carries "NaN" (see Float).
 	TimeSlices int     `json:"time_slices,omitempty"`
 	Iterations int     `json:"iterations,omitempty"`
-	Defect     float64 `json:"defect,omitempty"`
+	Defect     Float   `json:"defect,omitempty"`
 	Mass       float64 `json:"mass,omitempty"`
 	Energy     float64 `json:"energy,omitempty"`
 	// MomentumSHA256 fingerprints the full axial-momentum field bit for
@@ -143,12 +148,44 @@ func ResultOf(id string, rep *Reply, err error) JobResult {
 		Converged:      r.Converged,
 		TimeSlices:     r.TimeSlices,
 		Iterations:     r.Iterations,
-		Defect:         r.Defect,
+		Defect:         Float(r.Defect),
 		Mass:           r.Diag.Mass,
 		Energy:         r.Diag.Energy,
 		MomentumSHA256: MomentumChecksum(r.Momentum),
 		ElapsedMS:      float64(r.Elapsed.Microseconds()) / 1e3,
 	}
+}
+
+// Float is a float64 whose JSON form also carries the values a JSON
+// number cannot: NaN and ±Inf encode as the strings "NaN", "+Inf" and
+// "-Inf", so a client can still tell that the value was not finite.
+// Finite values encode as plain numbers.
+type Float float64
+
+// MarshalJSON implements json.Marshaler.
+func (f Float) MarshalJSON() ([]byte, error) {
+	v := float64(f)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(v)
+}
+
+// UnmarshalJSON implements json.Unmarshaler, accepting both forms.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	s, err := strconv.Unquote(string(b))
+	if err != nil {
+		s = string(b) // a plain number
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return fmt.Errorf("serve: bad float %s: %w", b, err)
+	}
+	*f = Float(v)
+	return nil
 }
 
 // MomentumChecksum fingerprints a momentum field by the IEEE-754 bits

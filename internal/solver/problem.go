@@ -31,9 +31,10 @@ type Problem struct {
 	// Inflow builds the left-boundary Dirichlet source. nil with
 	// Wall.Left unset selects the jet eigenfunction profile.
 	Inflow func(cfg jet.Config, gm gas.Model, r []float64) bc.Source
-	// Init gives the initial primitive state at a grid point (x, r);
-	// nil selects the jet's parallel mean flow.
-	Init func(cfg jet.Config, gm gas.Model, x, r float64) gas.Primitive
+	// Init gives the initial primitive state at radius r. Initial
+	// states are axially uniform: the profile is evaluated once per row
+	// and holds at every x. nil selects the jet's parallel mean flow.
+	Init func(cfg jet.Config, gm gas.Model, r float64) gas.Primitive
 	Wall WallSpec
 }
 

@@ -446,37 +446,36 @@ func NewSlabProblem(cfg jet.Config, prob *Problem, g *grid.Grid, gm gas.Model, i
 	return s, nil
 }
 
-// InitParallelFlow sets the initial condition. The built-in jet uses
-// the mean inflow profile extended downstream (parallel flow), v = 0,
-// constant static pressure; a scenario problem with an Init hook
-// supplies its own pointwise state instead.
+// InitParallelFlow sets the initial condition, which is axially
+// uniform: the built-in jet's mean inflow profile extended downstream
+// (parallel flow), or the scenario's Init profile. The state is
+// evaluated once per owned row into the first column and copied to the
+// others, so setup costs NrLoc profile evaluations, not NxLoc·NrLoc.
+// Ghost cells are left untouched.
 func (s *Slab) InitParallelFlow() {
-	gm := s.Gas
+	profile := meanFlow
 	if s.Prob != nil && s.Prob.Init != nil {
-		for c := 0; c < s.NxLoc; c++ {
-			x := s.Grid.X[s.I0+c]
-			for j, r := range s.R {
-				w := s.Prob.Init(s.Cfg, gm, x, r)
-				q := gm.ToConserved(w)
-				s.Q[flux.IRho].Set(c, j, q.Rho)
-				s.Q[flux.IMx].Set(c, j, q.Mx)
-				s.Q[flux.IMr].Set(c, j, q.Mr)
-				s.Q[flux.IE].Set(c, j, q.E)
-			}
-		}
-		return
+		profile = s.Prob.Init
 	}
-	for c := 0; c < s.NxLoc; c++ {
-		for j, r := range s.R {
-			T := s.Cfg.MeanT(gm.Gamma, r)
-			w := gas.Primitive{Rho: 1 / T, U: s.Cfg.MeanU(r), V: 0, P: gm.AmbientPressure()}
-			q := gm.ToConserved(w)
-			s.Q[flux.IRho].Set(c, j, q.Rho)
-			s.Q[flux.IMx].Set(c, j, q.Mx)
-			s.Q[flux.IMr].Set(c, j, q.Mr)
-			s.Q[flux.IE].Set(c, j, q.E)
+	for j, r := range s.R {
+		q := s.Gas.ToConserved(profile(s.Cfg, s.Gas, r))
+		s.Q[flux.IRho].Set(0, j, q.Rho)
+		s.Q[flux.IMx].Set(0, j, q.Mx)
+		s.Q[flux.IMr].Set(0, j, q.Mr)
+		s.Q[flux.IE].Set(0, j, q.E)
+	}
+	for _, f := range s.Q {
+		first := f.Col(0)
+		for c := 1; c < s.NxLoc; c++ {
+			copy(f.Col(c), first)
 		}
 	}
+}
+
+// meanFlow is the built-in jet's initial profile: the mean inflow
+// temperature and axial velocity, v = 0, constant static pressure.
+func meanFlow(cfg jet.Config, gm gas.Model, r float64) gas.Primitive {
+	return gas.Primitive{Rho: 1 / cfg.MeanT(gm.Gamma, r), U: cfg.MeanU(r), V: 0, P: gm.AmbientPressure()}
 }
 
 // StableDt returns the slab-local CFL-stable time step, cfl over the

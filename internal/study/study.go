@@ -478,31 +478,6 @@ func WideHaloSeconds(p machine.Platform, ch trace.Characterization, depth, procs
 	return o.Seconds, nil
 }
 
-// WideHaloSweep returns one execution-time series per halo depth on a
-// platform, sweeping the paper's processor counts. Points whose
-// redundant shell does not fit the decomposition (narrow slabs at high
-// P and deep shells) are skipped rather than erroring, so a deep-shell
-// series simply ends where it stops being feasible.
-func WideHaloSweep(p machine.Platform, ch trace.Characterization, depths []int) ([]stats.Series, error) {
-	var out []stats.Series
-	for _, depth := range depths {
-		s := stats.Series{Name: fmt.Sprintf("%s wide(%d)", p.Name, depth)}
-		ext := trace.WideExtension(ch.Viscous, depth)
-		for _, np := range ProcCounts(p.MaxProcs) {
-			if np > 1 && ch.Nx/np < ext+2 {
-				continue // shell + exchange window exceed the narrowest slab
-			}
-			sec, err := WideHaloSeconds(p, ch, depth, np)
-			if err != nil {
-				return nil, err
-			}
-			s.Add(float64(np), sec)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // HierarchicalReduceSeconds co-simulates a convergence-monitored run
 // (ReduceEvery cadence) with the allreduce either flat (group 1) or
 // hierarchical over shared-memory nodes of the given size: members
